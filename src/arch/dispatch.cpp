@@ -18,20 +18,17 @@ bool cpu_supports(Level level) noexcept {
     case Level::kScalar:
       return true;
 #if defined(__x86_64__) || defined(__i386__)
-    case Level::kSse42:
-      return __builtin_cpu_supports("sse4.2") != 0;
     case Level::kAvx2:
       return __builtin_cpu_supports("avx2") != 0;
     case Level::kAvx512:
-      // The Skylake-X common subset the AVX-512 TU is compiled against.
-      return __builtin_cpu_supports("avx512f") != 0 &&
+      // The Skylake-X common subset the AVX-512 TU is compiled against, plus
+      // AVX2 for the slots its table inherits from the AVX2 table.
+      return __builtin_cpu_supports("avx2") != 0 &&
+             __builtin_cpu_supports("avx512f") != 0 &&
              __builtin_cpu_supports("avx512bw") != 0 &&
              __builtin_cpu_supports("avx512cd") != 0 &&
              __builtin_cpu_supports("avx512dq") != 0 &&
              __builtin_cpu_supports("avx512vl") != 0;
-#elif defined(__aarch64__)
-    case Level::kNeon:
-      return true;  // NEON is baseline on aarch64
 #endif
     default:
       return false;
@@ -39,15 +36,13 @@ bool cpu_supports(Level level) noexcept {
 }
 
 /// The kernel table for `level`, or nullptr when that TU was not built
-/// (wrong target arch, or the compiler lacked the -m flags).
+/// (wrong target arch, or the compiler lacked the -m flags). The first call
+/// for a SIMD level builds its table in code compiled with that level's
+/// flags, so call this only once cpu_supports(level) holds.
 const Kernels* table_for(Level level) noexcept {
   switch (level) {
     case Level::kScalar:
       return scalar_kernel_table();
-#ifdef NUMARCK_ARCH_HAVE_SSE42
-    case Level::kSse42:
-      return sse42_kernel_table();
-#endif
 #ifdef NUMARCK_ARCH_HAVE_AVX2
     case Level::kAvx2:
       return avx2_kernel_table();
@@ -56,17 +51,12 @@ const Kernels* table_for(Level level) noexcept {
     case Level::kAvx512:
       return avx512_kernel_table();
 #endif
-#ifdef NUMARCK_ARCH_HAVE_NEON
-    case Level::kNeon:
-      return neon_kernel_table();
-#endif
     default:
       return nullptr;
   }
 }
 
-constexpr Level kAllLevels[] = {Level::kScalar, Level::kSse42, Level::kAvx2,
-                                Level::kAvx512, Level::kNeon};
+constexpr Level kAllLevels[] = {Level::kScalar, Level::kAvx2, Level::kAvx512};
 
 struct Dispatch {
   const Kernels* active = nullptr;
@@ -86,7 +76,7 @@ Dispatch init_dispatch() {
     if (!parse_level(env, requested)) {
       std::fprintf(stderr,
                    "numarck: NUMARCK_ARCH=%s not recognized "
-                   "(scalar|sse4|avx2|avx512|neon); using %s\n",
+                   "(scalar|avx2|avx512); using %s\n",
                    env, to_string(d.detected));
     } else if (!level_supported(requested)) {
       std::fprintf(stderr,
@@ -113,14 +103,10 @@ const char* to_string(Level level) noexcept {
   switch (level) {
     case Level::kScalar:
       return "scalar";
-    case Level::kSse42:
-      return "sse4";
     case Level::kAvx2:
       return "avx2";
     case Level::kAvx512:
       return "avx512";
-    case Level::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -132,16 +118,13 @@ bool parse_level(std::string_view name, Level& out) noexcept {
       return true;
     }
   }
-  if (name == "sse4.2" || name == "sse42") {  // tolerated aliases
-    out = Level::kSse42;
-    return true;
-  }
   return false;
 }
 
 Level detect_best() noexcept { return dispatch().detected; }
 
 bool level_supported(Level level) noexcept {
+  // cpu_supports first: table_for may run `level`'s instructions.
   return cpu_supports(level) && table_for(level) != nullptr;
 }
 

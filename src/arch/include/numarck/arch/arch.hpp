@@ -1,11 +1,15 @@
 // numarck_arch — runtime-dispatched SIMD kernels for the codec hot path.
 //
-// The four per-point loops that bound single-core throughput (classify,
-// decode reconstruction, bit unpack / popcount, FPC's XOR+LZC) are exposed
-// here as C-style function pointers. A cpuid probe at first use selects the
-// widest implementation the machine supports (scalar / SSE4.2 / AVX2 /
-// AVX-512; NEON is a ready stub that currently maps to scalar), overridable
-// with NUMARCK_ARCH=scalar|sse4|avx2|avx512 for testing and CI.
+// The per-point loops that bound single-core throughput (classify, change
+// ratios, decode reconstruction, bit unpack / popcount, FPC's XOR+LZC, rANS
+// decode) are exposed here as C-style function pointers. A cpuid probe at
+// first use selects the widest table the machine supports (scalar / AVX2 /
+// AVX-512), overridable with NUMARCK_ARCH=scalar|avx2|avx512 for testing and
+// CI. Other targets (aarch64 included) run the scalar table.
+//
+// A wider table replaces a slot only where its kernel won a measurement
+// (docs/TUNING.md "SIMD dispatch" names each one); every other slot
+// inherits the narrower table's function. classify has no SIMD variant.
 //
 // The dispatcher is a pure speed knob: every implementation of a kernel is
 // REQUIRED to produce bit-identical output (labels, stats, decoded values,
@@ -24,21 +28,17 @@
 
 namespace numarck::arch {
 
-/// Dispatch levels, ordered from narrowest to widest. kNeon sits outside the
-/// x86 ladder; on aarch64 it is the detected level (kernels currently alias
-/// the scalar reference until NEON variants land).
+/// Dispatch levels, ordered from narrowest to widest.
 enum class Level : std::uint8_t {
   kScalar = 0,
-  kSse42 = 1,
-  kAvx2 = 2,
-  kAvx512 = 3,
-  kNeon = 4,
+  kAvx2 = 1,
+  kAvx512 = 2,
 };
 
 const char* to_string(Level level) noexcept;
 
-/// Parses a NUMARCK_ARCH value ("scalar" | "sse4" | "avx2" | "avx512" |
-/// "neon"). Returns false (out untouched) on an unknown name.
+/// Parses a NUMARCK_ARCH value ("scalar" | "avx2" | "avx512"). Returns false
+/// (out untouched) on any other name.
 bool parse_level(std::string_view name, Level& out) noexcept;
 
 /// Per-point labels shared with the encoder's classify pass. Index values
@@ -48,7 +48,7 @@ inline constexpr std::uint32_t kLabelNeedsBin = 0xFFFFFFFEu;
 
 /// Partial classification stats for one span; field semantics match
 /// core::IterationStats. err_sum is accumulated in point order, so it is
-/// bit-identical across ISAs for a fixed span decomposition.
+/// bit-identical for a fixed span decomposition.
 struct ClassifySpanStats {
   std::size_t small = 0;
   std::size_t below = 0;
@@ -186,8 +186,8 @@ Level active_level() noexcept;
 void force_level(Level level);
 
 /// One-line summary for logs and bench JSONs, e.g.
-/// "active=avx2 detected=avx512 override=avx2 (NUMARCK_ARCH)
-///  kernels=classify/decode/unpack/count_ones/fpc".
+/// "arch: active=avx2 detected=avx512 available=scalar,avx2,avx512
+///  override=avx2 (NUMARCK_ARCH) kernels=classify,change_ratios,...".
 std::string describe();
 
 }  // namespace numarck::arch

@@ -1,86 +1,19 @@
 // AVX2 kernel table (compiled with -mavx2).
 //
-// Four-lane classify/change-ratio, gathered centroid reconstruction in
-// decode, gathered 4-lane unpack, u64 popcount, and 4-lane FPC XOR+LZC.
-// Floating-point lanes use only IEEE-exact ops (sub/div/mul/add/abs/ordered
+// Starts from the scalar table and overrides five slots: 4-lane change
+// ratios, gathered centroid reconstruction in decode, gathered 4-lane
+// unpack, u64 popcount, and interleaved rANS decode. classify and
+// fpc_xor_lzc stay scalar — no AVX2 version beat them.
+// Floating-point lanes use only IEEE-exact ops (sub/div/mul/add/ordered
 // compares) in the scalar loop's per-element order, and multiplication is
 // spelled mul(prev, add(1, center)) — never an FMA — so results are
 // bit-identical to the scalar table.
 #include <immintrin.h>
 
-#include <limits>
-
 #include "kernels_common.hpp"
 
 namespace numarck::arch {
 namespace {
-
-inline __m256d abs_pd(__m256d x) {
-  return _mm256_andnot_pd(_mm256_set1_pd(-0.0), x);
-}
-
-ClassifySpanStats classify_avx2(const double* previous, const double* current,
-                                std::uint32_t* labels, std::size_t n,
-                                double error_bound, double small_threshold) {
-  ClassifySpanStats s;
-  const __m256d vzero = _mm256_setzero_pd();
-  const __m256d vsmall = _mm256_set1_pd(small_threshold);
-  const __m256d vbound = _mm256_set1_pd(error_bound);
-  const __m256d vinf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
-  const __m256d vone = _mm256_set1_pd(1.0);
-  const bool use_small = small_threshold > 0.0;
-  alignas(32) double mag[4];
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256d p = _mm256_loadu_pd(previous + j);
-    const __m256d c = _mm256_loadu_pd(current + j);
-    unsigned small_m = 0;
-    if (use_small) {
-      const __m256d m =
-          _mm256_and_pd(_mm256_cmp_pd(abs_pd(c), vsmall, _CMP_LT_OQ),
-                        _mm256_cmp_pd(abs_pd(p), vsmall, _CMP_LE_OQ));
-      small_m = static_cast<unsigned>(_mm256_movemask_pd(m));
-    }
-    const __m256d zerod = _mm256_cmp_pd(p, vzero, _CMP_EQ_OQ);
-    const unsigned zero_m = static_cast<unsigned>(_mm256_movemask_pd(zerod));
-    // Masked divisor: prev == 0 lanes divide by 1.0; their result is dead
-    // (the zero mask wins) but the lane never raises FE_DIVBYZERO.
-    const __m256d denom = _mm256_blendv_pd(p, vone, zerod);
-    const __m256d r = _mm256_div_pd(_mm256_sub_pd(c, p), denom);
-    const __m256d am = abs_pd(r);
-    _mm256_store_pd(mag, am);
-    // finite <=> |r| < inf (ordered compare: false on NaN and ±inf)
-    const unsigned fin_m = static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_cmp_pd(am, vinf, _CMP_LT_OQ)));
-    const unsigned below_m = static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_cmp_pd(am, vbound, _CMP_LT_OQ)));
-    for (unsigned k = 0; k < 4; ++k) {
-      const unsigned bit = 1u << k;
-      if (small_m & bit) {
-        labels[j + k] = 0;
-        ++s.small;
-      } else if ((zero_m & bit) || !(fin_m & bit)) {
-        labels[j + k] = kLabelExact;
-        ++s.undefined;
-      } else if (below_m & bit) {
-        labels[j + k] = 0;
-        ++s.below;
-        s.err_sum += mag[k];  // point order: bit-identical to scalar
-        s.err_max = std::max(s.err_max, mag[k]);
-      } else {
-        labels[j + k] = kLabelNeedsBin;
-        ++s.needs_bin;
-      }
-    }
-  }
-  if (j < n) {
-    detail::merge_into(s, detail::classify_scalar(previous + j, current + j,
-                                                  labels + j, n - j,
-                                                  error_bound,
-                                                  small_threshold));
-  }
-  return s;
-}
 
 void change_ratios_avx2(const double* previous, const double* current,
                         double* ratios, std::size_t n) {
@@ -222,62 +155,19 @@ void decode_span_avx2(const DecodeSpan& sp) {
   decode_run(j, sp.i1);
 }
 
-void fpc_xor_lzc_avx2(const std::uint64_t* values,
-                      const std::uint64_t* pred_fcm,
-                      const std::uint64_t* pred_dfcm, std::size_t n,
-                      std::uint64_t* xr, std::uint8_t* nibble) {
-  const __m256i zero = _mm256_setzero_si256();
-  alignas(32) std::uint64_t af[4];
-  alignas(32) std::uint64_t ad[4];
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(values + i));
-    const __m256i xf = _mm256_xor_si256(
-        v,
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pred_fcm + i)));
-    const __m256i xd = _mm256_xor_si256(
-        v,
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pred_dfcm + i)));
-    // Per-byte zero masks, 8 bits per u64 lane (byte 7 = most significant);
-    // leading zero bytes = countl_one of a lane's 8-bit mask.
-    const unsigned mf = static_cast<unsigned>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi8(xf, zero)));
-    const unsigned md = static_cast<unsigned>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi8(xd, zero)));
-    _mm256_store_si256(reinterpret_cast<__m256i*>(af), xf);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(ad), xd);
-    for (unsigned k = 0; k < 4; ++k) {
-      const unsigned lf = static_cast<unsigned>(
-          std::countl_one(static_cast<std::uint8_t>(mf >> (8 * k))));
-      const unsigned ld = static_cast<unsigned>(
-          std::countl_one(static_cast<std::uint8_t>(md >> (8 * k))));
-      const bool use_dfcm = ld > lf;
-      xr[i + k] = use_dfcm ? ad[k] : af[k];
-      const unsigned code = detail::lzb_to_code(use_dfcm ? ld : lf);
-      nibble[i + k] =
-          static_cast<std::uint8_t>((use_dfcm ? 1u : 0u) | (code << 1));
-    }
-  }
-  if (i < n) {
-    detail::fpc_xor_lzc_scalar(values + i, pred_fcm + i, pred_dfcm + i,
-                               n - i, xr + i, nibble + i);
-  }
-}
-
 }  // namespace
 
 const Kernels* avx2_kernel_table() noexcept {
-  static const Kernels k = {
-      Level::kAvx2,
-      &classify_avx2,
-      &change_ratios_avx2,
-      &decode_span_avx2,
-      &unpack_avx2,
-      &detail::count_ones_wide,
-      &fpc_xor_lzc_avx2,
-      &detail::rans_decode_interleaved,
-  };
+  static const Kernels k = [] {
+    Kernels t = *scalar_kernel_table();
+    t.level = Level::kAvx2;
+    t.change_ratios = &change_ratios_avx2;
+    t.decode_span = &decode_span_avx2;
+    t.unpack = &unpack_avx2;
+    t.count_ones = &detail::count_ones_wide;
+    t.rans_decode = &detail::rans_decode_interleaved;
+    return t;
+  }();
   return &k;
 }
 

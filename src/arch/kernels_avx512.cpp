@@ -1,99 +1,17 @@
 // AVX-512 kernel table (compiled with F/BW/CD/DQ/VL — the Skylake-X common
 // subset; no VPOPCNTDQ).
 //
-// Eight-lane classify/change-ratio with native mask registers, 8-lane masked
-// gather in decode, 8-lane unpack, and VPLZCNTQ-based FPC selection. Same
-// bit-identity contract as every other table: IEEE-exact ops only, scalar
-// accumulation order, no FMA.
+// Starts from the AVX2 table and overrides only the three slots where an
+// 8-lane body beat AVX2 (docs/TUNING.md): 8-lane unpack, 8-lane masked
+// gather in decode, and VPLZCNTQ-based FPC selection. Same bit-identity
+// contract as every other table: IEEE-exact ops only, scalar accumulation
+// order, no FMA.
 #include <immintrin.h>
-
-#include <limits>
 
 #include "kernels_common.hpp"
 
 namespace numarck::arch {
 namespace {
-
-inline __m512d abs_pd(__m512d x) {
-  return _mm512_abs_pd(x);
-}
-
-ClassifySpanStats classify_avx512(const double* previous,
-                                  const double* current,
-                                  std::uint32_t* labels, std::size_t n,
-                                  double error_bound,
-                                  double small_threshold) {
-  ClassifySpanStats s;
-  const __m512d vzero = _mm512_setzero_pd();
-  const __m512d vsmall = _mm512_set1_pd(small_threshold);
-  const __m512d vbound = _mm512_set1_pd(error_bound);
-  const __m512d vinf =
-      _mm512_set1_pd(std::numeric_limits<double>::infinity());
-  const __m512d vone = _mm512_set1_pd(1.0);
-  const bool use_small = small_threshold > 0.0;
-  alignas(64) double mag[8];
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m512d p = _mm512_loadu_pd(previous + j);
-    const __m512d c = _mm512_loadu_pd(current + j);
-    __mmask8 small_m = 0;
-    if (use_small) {
-      small_m = _mm512_cmp_pd_mask(abs_pd(c), vsmall, _CMP_LT_OQ) &
-                _mm512_cmp_pd_mask(abs_pd(p), vsmall, _CMP_LE_OQ);
-    }
-    const __mmask8 zero_m = _mm512_cmp_pd_mask(p, vzero, _CMP_EQ_OQ);
-    // Masked divisor: prev == 0 lanes divide by 1.0 (result dead).
-    const __m512d denom = _mm512_mask_blend_pd(zero_m, p, vone);
-    const __m512d r = _mm512_div_pd(_mm512_sub_pd(c, p), denom);
-    const __m512d am = abs_pd(r);
-    _mm512_store_pd(mag, am);
-    const __mmask8 fin_m = _mm512_cmp_pd_mask(am, vinf, _CMP_LT_OQ);
-    const __mmask8 below_m = _mm512_cmp_pd_mask(am, vbound, _CMP_LT_OQ);
-    for (unsigned k = 0; k < 8; ++k) {
-      const unsigned bit = 1u << k;
-      if (small_m & bit) {
-        labels[j + k] = 0;
-        ++s.small;
-      } else if ((zero_m & bit) || !(fin_m & bit)) {
-        labels[j + k] = kLabelExact;
-        ++s.undefined;
-      } else if (below_m & bit) {
-        labels[j + k] = 0;
-        ++s.below;
-        s.err_sum += mag[k];  // point order: bit-identical to scalar
-        s.err_max = std::max(s.err_max, mag[k]);
-      } else {
-        labels[j + k] = kLabelNeedsBin;
-        ++s.needs_bin;
-      }
-    }
-  }
-  if (j < n) {
-    detail::merge_into(s, detail::classify_scalar(previous + j, current + j,
-                                                  labels + j, n - j,
-                                                  error_bound,
-                                                  small_threshold));
-  }
-  return s;
-}
-
-void change_ratios_avx512(const double* previous, const double* current,
-                          double* ratios, std::size_t n) {
-  const __m512d vzero = _mm512_setzero_pd();
-  const __m512d vone = _mm512_set1_pd(1.0);
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m512d p = _mm512_loadu_pd(previous + j);
-    const __m512d c = _mm512_loadu_pd(current + j);
-    const __m512d denom = _mm512_mask_blend_pd(
-        _mm512_cmp_pd_mask(p, vzero, _CMP_EQ_OQ), p, vone);
-    _mm512_storeu_pd(ratios + j, _mm512_div_pd(_mm512_sub_pd(c, p), denom));
-  }
-  if (j < n) {
-    detail::change_ratios_scalar(previous + j, current + j, ratios + j,
-                                 n - j);
-  }
-}
 
 void unpack_avx512(const std::uint8_t* bytes, std::size_t size_bytes,
                    std::size_t bit_offset, unsigned width, std::uint32_t* out,
@@ -233,16 +151,14 @@ void fpc_xor_lzc_avx512(const std::uint64_t* values,
 }  // namespace
 
 const Kernels* avx512_kernel_table() noexcept {
-  static const Kernels k = {
-      Level::kAvx512,
-      &classify_avx512,
-      &change_ratios_avx512,
-      &decode_span_avx512,
-      &unpack_avx512,
-      &detail::count_ones_wide,
-      &fpc_xor_lzc_avx512,
-      &detail::rans_decode_interleaved,
-  };
+  static const Kernels k = [] {
+    Kernels t = *avx2_kernel_table();
+    t.level = Level::kAvx512;
+    t.decode_span = &decode_span_avx512;
+    t.unpack = &unpack_avx512;
+    t.fpc_xor_lzc = &fpc_xor_lzc_avx512;
+    return t;
+  }();
   return &k;
 }
 

@@ -23,18 +23,18 @@ namespace numarck::arch {
 
 // Per-level kernel tables, defined one per kernels_<isa>.cpp. Only the
 // accessors whose NUMARCK_ARCH_HAVE_* definition is set by CMake exist at
-// link time; dispatch.cpp guards every reference accordingly.
+// link time; dispatch.cpp guards every reference accordingly. Each wider
+// table copies the one below and overrides the slots its kernels won.
 const Kernels* scalar_kernel_table() noexcept;
-const Kernels* sse42_kernel_table() noexcept;
 const Kernels* avx2_kernel_table() noexcept;
 const Kernels* avx512_kernel_table() noexcept;
-const Kernels* neon_kernel_table() noexcept;
 
 namespace detail {
 
 /// Pass-A1 classification, one point at a time. This is the exact loop the
-/// codec ran before the arch layer existed; every SIMD variant reproduces
-/// its labels, counts, and err_sum/err_max accumulation order.
+/// codec ran before the arch layer existed. It is the library's only
+/// classify: no SIMD variant beat it (docs/TUNING.md), so every wider table
+/// inherits the scalar table's copy.
 static inline ClassifySpanStats classify_scalar(const double* previous,
                                                 const double* current,
                                                 std::uint32_t* labels,
@@ -76,16 +76,6 @@ static inline ClassifySpanStats classify_scalar(const double* previous,
     ++s.needs_bin;
   }
   return s;
-}
-
-static inline void merge_into(ClassifySpanStats& a,
-                              const ClassifySpanStats& b) {
-  a.small += b.small;
-  a.below += b.below;
-  a.undefined += b.undefined;
-  a.needs_bin += b.needs_bin;
-  a.err_sum += b.err_sum;
-  a.err_max = std::max(a.err_max, b.err_max);
 }
 
 static inline void change_ratios_scalar(const double* previous,
@@ -142,21 +132,6 @@ static inline void unpack_scalar(const std::uint8_t* bytes,
   check_unpack_range(size_bytes, bit_offset, width, count);
   util::BitReader r(bytes, size_bytes, bit_offset);
   for (std::size_t i = 0; i < count; ++i) out[i] = r.get(width);
-}
-
-/// Wide unpack: one unaligned u64 load per value (the SSE4.2 table's unpack,
-/// and the tail path of the gathered AVX variants).
-static inline void unpack_wide(const std::uint8_t* bytes,
-                               std::size_t size_bytes, std::size_t bit_offset,
-                               unsigned width, std::uint32_t* out,
-                               std::size_t count) {
-  check_unpack_range(size_bytes, bit_offset, width, count);
-  const std::uint64_t mask =
-      width == 32 ? 0xffffffffull : ((1ull << width) - 1);
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = read_bits_at(bytes, size_bytes, bit_offset + i * width, width,
-                          mask);
-  }
 }
 
 static inline void check_count_ones_range(std::size_t size_bytes,
@@ -255,50 +230,6 @@ static inline void decode_span_scalar(const DecodeSpan& sp) {
       sp.out[j] = sp.previous[j] * (1.0 + sp.centers[i - 1]);
     }
   }
-}
-
-/// Byte-grouped decoder: dispatches on whole ζ bytes (0x00 -> 8 exact
-/// copies, 0xFF -> 8 index reconstructions, mixed -> per-bit) with wide
-/// index reads. This is the SSE4.2/NEON decode; the AVX variants layer a
-/// gathered reconstruction on top of the same structure.
-static inline void decode_span_grouped(const DecodeSpan& sp) {
-  const unsigned B = sp.index_bits;
-  const std::uint64_t mask = B == 32 ? 0xffffffffull : ((1ull << B) - 1);
-  std::size_t exact_pos = sp.exact_pos;
-  std::size_t index_bit = sp.index_bit_offset;
-
-  const auto decode_run = [&](std::size_t j0, std::size_t j1) {
-    for (std::size_t j = j0; j < j1; ++j) {
-      if (((sp.zeta[j >> 3] >> (j & 7)) & 1u) == 0) {
-        sp.out[j] = sp.exact[exact_pos++];
-        continue;
-      }
-      const std::uint32_t i =
-          read_bits_at(sp.indices, sp.indices_size, index_bit, B, mask);
-      index_bit += B;
-      if (i == 0) {
-        sp.out[j] = sp.previous[j];
-      } else {
-        NUMARCK_EXPECT(i <= sp.center_count, "decode: index out of table");
-        sp.out[j] = sp.previous[j] * (1.0 + sp.centers[i - 1]);
-      }
-    }
-  };
-
-  std::size_t j = sp.i0;
-  const std::size_t head = std::min(sp.i1, (sp.i0 + 7) & ~std::size_t{7});
-  decode_run(j, head);
-  j = head;
-  for (; j + 8 <= sp.i1; j += 8) {
-    const std::uint8_t z = sp.zeta[j >> 3];
-    if (z == 0x00) {
-      std::memcpy(sp.out + j, sp.exact + exact_pos, 8 * sizeof(double));
-      exact_pos += 8;
-    } else {
-      decode_run(j, j + 8);
-    }
-  }
-  decode_run(j, sp.i1);
 }
 
 /// rANS state floor: states live in [kRansLow, 2^32). One 16-bit word per

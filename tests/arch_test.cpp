@@ -87,14 +87,29 @@ void adversarial_snapshots(std::size_t n, std::vector<double>& prev,
   }
 }
 
+/// Base fixture for the tests that compare kernel tables with the scalar
+/// reference. On a host whose only table is scalar they would compare scalar
+/// with itself, so they report SKIP instead of a vacuous PASS.
+class MultiLevelTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (na::available_levels().size() < 2) {
+      GTEST_SKIP() << "only the scalar kernel table runs on this host; "
+                      "nothing to compare it with";
+    }
+  }
+};
+
+class ArchKernels : public MultiLevelTest {};
+class ArchSweep : public MultiLevelTest {};
+
 }  // namespace
 
 // -------------------------------------------------------------- dispatch --
 
 TEST(ArchDispatch, ToStringParseRoundTrip) {
   for (na::Level level :
-       {na::Level::kScalar, na::Level::kSse42, na::Level::kAvx2,
-        na::Level::kAvx512, na::Level::kNeon}) {
+       {na::Level::kScalar, na::Level::kAvx2, na::Level::kAvx512}) {
     na::Level parsed{};
     ASSERT_TRUE(na::parse_level(na::to_string(level), parsed))
         << na::to_string(level);
@@ -102,16 +117,15 @@ TEST(ArchDispatch, ToStringParseRoundTrip) {
   }
 }
 
-TEST(ArchDispatch, ParseAcceptsAliasesAndRejectsUnknown) {
-  na::Level out = na::Level::kNeon;
-  EXPECT_TRUE(na::parse_level("sse4.2", out));
-  EXPECT_EQ(out, na::Level::kSse42);
-  EXPECT_TRUE(na::parse_level("sse42", out));
-  EXPECT_EQ(out, na::Level::kSse42);
-  out = na::Level::kAvx2;
-  EXPECT_FALSE(na::parse_level("pentium", out));
-  EXPECT_EQ(out, na::Level::kAvx2);  // untouched on failure
-  EXPECT_FALSE(na::parse_level("", out));
+TEST(ArchDispatch, ParseRejectsRemovedAndUnknownNames) {
+  // Names with no table here (sse4*, neon) must fail loudly, not map to a
+  // different table.
+  for (const char* name :
+       {"sse4", "sse4.2", "sse42", "neon", "pentium", "", "AVX2"}) {
+    na::Level out = na::Level::kAvx512;
+    EXPECT_FALSE(na::parse_level(name, out)) << name;
+    EXPECT_EQ(out, na::Level::kAvx512) << name;  // untouched on failure
+  }
 }
 
 TEST(ArchDispatch, AvailableLevelsStartWithScalarAndAreSupported) {
@@ -126,8 +140,7 @@ TEST(ArchDispatch, AvailableLevelsStartWithScalarAndAreSupported) {
 TEST(ArchDispatch, ForceLevelSwitchesTablesAndUnsupportedThrows) {
   ScopedArch guard;
   for (na::Level level :
-       {na::Level::kScalar, na::Level::kSse42, na::Level::kAvx2,
-        na::Level::kAvx512, na::Level::kNeon}) {
+       {na::Level::kScalar, na::Level::kAvx2, na::Level::kAvx512}) {
     if (na::level_supported(level)) {
       na::force_level(level);
       EXPECT_EQ(na::active_level(), level);
@@ -147,7 +160,7 @@ TEST(ArchDispatch, DescribeNamesActiveLevelAndKernels) {
 
 // ------------------------------------------------- kernel differentials --
 
-TEST(ArchKernels, ClassifyMatchesScalarOnAdversarialInput) {
+TEST_F(ArchKernels, ClassifyMatchesScalarOnAdversarialInput) {
   std::vector<double> prev, curr;
   adversarial_snapshots(1027, prev, curr);  // odd length: tail paths
   const auto tables = all_tables();
@@ -157,6 +170,8 @@ TEST(ArchKernels, ClassifyMatchesScalarOnAdversarialInput) {
     const auto want_stats = ref.classify(prev.data(), curr.data(), want.data(),
                                          prev.size(), 0.01, small);
     for (const auto& [level, k] : tables) {
+      // The library has one classify; every table must point at it.
+      EXPECT_EQ(k.classify, ref.classify) << na::to_string(level);
       std::vector<std::uint32_t> got(prev.size(), 0xABABABABu);
       const auto stats = k.classify(prev.data(), curr.data(), got.data(),
                                     prev.size(), 0.01, small);
@@ -171,7 +186,7 @@ TEST(ArchKernels, ClassifyMatchesScalarOnAdversarialInput) {
   }
 }
 
-TEST(ArchKernels, ChangeRatiosMatchScalarLaneForLane) {
+TEST_F(ArchKernels, ChangeRatiosMatchScalarLaneForLane) {
   std::vector<double> prev, curr;
   adversarial_snapshots(517, prev, curr);
   const auto tables = all_tables();
@@ -189,7 +204,7 @@ TEST(ArchKernels, ChangeRatiosMatchScalarLaneForLane) {
   }
 }
 
-TEST(ArchKernels, UnpackMatchesScalarAtEveryOffsetAndWidth) {
+TEST_F(ArchKernels, UnpackMatchesScalarAtEveryOffsetAndWidth) {
   numarck::util::Pcg32 rng(0x0111);
   std::vector<std::uint8_t> bytes(257);
   for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next() & 0xffu);
@@ -228,7 +243,7 @@ TEST(ArchKernels, UnpackMatchesScalarAtEveryOffsetAndWidth) {
   }
 }
 
-TEST(ArchKernels, CountOnesMatchesScalarOnUnalignedRanges) {
+TEST_F(ArchKernels, CountOnesMatchesScalarOnUnalignedRanges) {
   numarck::util::Pcg32 rng(0xC0);
   std::vector<std::uint8_t> bytes(129);
   for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next() & 0xffu);
@@ -247,7 +262,7 @@ TEST(ArchKernels, CountOnesMatchesScalarOnUnalignedRanges) {
   }
 }
 
-TEST(ArchKernels, DecodeSpanMatchesScalarIncludingUnalignedStart) {
+TEST_F(ArchKernels, DecodeSpanMatchesScalarIncludingUnalignedStart) {
   // Hand-built container slice: ζ mixes exact runs, compressible runs and
   // alternating bits, so every byte-dispatch case (0x00 / 0xFF / mixed) and
   // the unaligned head run.
@@ -339,7 +354,7 @@ TEST(ArchKernels, DecodeSpanMatchesScalarIncludingUnalignedStart) {
   }
 }
 
-TEST(ArchKernels, FpcXorLzcMatchesScalar) {
+TEST_F(ArchKernels, FpcXorLzcMatchesScalar) {
   const std::size_t n = 101;
   numarck::util::Pcg32 rng(0xF9C);
   auto next64 = [&rng] {
@@ -426,20 +441,20 @@ void sweep_levels(const std::vector<double>& prev,
 
 }  // namespace
 
-TEST(ArchSweep, FlashFixtureIsByteIdenticalAcrossLevels) {
+TEST_F(ArchSweep, FlashFixtureIsByteIdenticalAcrossLevels) {
   const auto series = numarck::bench::flash_series(2, {"dens", "pres"});
   for (const auto& [var, snaps] : series) {
     sweep_levels(snaps[0], snaps[1], "flash/" + var);
   }
 }
 
-TEST(ArchSweep, ClimateFixtureIsByteIdenticalAcrossLevels) {
+TEST_F(ArchSweep, ClimateFixtureIsByteIdenticalAcrossLevels) {
   const auto snaps =
       numarck::bench::climate_series(numarck::sim::climate::Variable::kRlds, 2);
   sweep_levels(snaps[0], snaps[1], "cmip5/rlds");
 }
 
-TEST(ArchSweep, FpcStreamIsByteIdenticalAcrossLevels) {
+TEST_F(ArchSweep, FpcStreamIsByteIdenticalAcrossLevels) {
   ScopedArch guard;
   const auto snaps = numarck::bench::climate_series(
       numarck::sim::climate::Variable::kMrro, 2, 7);

@@ -34,13 +34,10 @@ StringRef x86Prefix(StringRef Name) {
   return {};
 }
 
-/// x86 prefixes each ISA token may use. NEON and scalar TUs get none.
+/// x86 prefixes each ISA token may use. Scalar and unknown TUs get none.
 llvm::ArrayRef<StringRef> allowedPrefixes(StringRef Isa) {
-  static const StringRef Sse[] = {"_mm_"};
   static const StringRef Avx2[] = {"_mm_", "_mm256_"};
   static const StringRef Avx512[] = {"_mm_", "_mm256_", "_mm512_"};
-  if (Isa == "sse42")
-    return Sse;
   if (Isa == "avx2")
     return Avx2;
   if (Isa == "avx512")
