@@ -60,9 +60,10 @@ using ClassifyStats = arch::ClassifySpanStats;
 
 /// Pass A1: model-free classification. Labels every point as index 0
 /// (small-value or below-threshold), exact (undefined ratio) or needs-bin;
-/// the needs-bin points are exactly the learn-set candidates. Each chunk
-/// runs the fused change-ratio + classify kernel; partial stats combine in
-/// chunk order, so the sums match the scalar sweep bit for bit.
+/// the needs-bin points are exactly the learn-set candidates. Each reduction
+/// block runs the fused change-ratio + classify kernel; partial stats combine
+/// in block order over a plan that depends on n alone, so the sums are
+/// identical for every pool size and host.
 ClassifyStats classify_points(std::span<const double> previous,
                               std::span<const double> current,
                               const Options& opts, util::ThreadPool& pool,

@@ -5,8 +5,9 @@
 // parallel_for / parallel_for_chunked / parallel_chunks execute a plan and
 // block until every chunk finished. parallel_reduce additionally combines
 // per-chunk partial results with a user-supplied binary op in chunk order —
-// the shared-memory analogue of MPI_Allreduce, deterministic for a fixed
-// pool size.
+// the shared-memory analogue of MPI_Allreduce. Its blocks come from
+// reduce_plan, which depends on the range length alone, so a floating-point
+// reduction gives the same bits for every pool size and host.
 //
 // Thread-safety contract (checked by -Wthread-safety where expressible, see
 // numarck/util/thread_annotations.hpp): these helpers take no locks of their
@@ -48,8 +49,12 @@ inline std::size_t effective_workers(std::size_t requested) noexcept {
   return hw == 0 ? requested : std::min(requested, hw);
 }
 
+/// Most blocks reduce_plan cuts a range into. A compile-time constant, so the
+/// reduction's summation order never follows the pool or the host.
+inline constexpr std::size_t kReduceMaxBlocks = 64;
+
 /// A deterministic block decomposition of [begin, end). The chunk count
-/// depends only on (range size, worker count, grain), never on runtime
+/// depends only on (range size, chunk cap, grain), never on runtime
 /// scheduling, so per-chunk results can be combined in chunk order
 /// reproducibly.
 struct ChunkPlan {
@@ -58,20 +63,32 @@ struct ChunkPlan {
   std::size_t chunks = 1;
   std::size_t step = 0;
 
-  ChunkPlan(std::size_t b, std::size_t e, std::size_t workers,
+  /// Cap on the chunk count, for plans that must not depend on workers.
+  struct MaxChunks {
+    std::size_t value;
+  };
+
+  /// At most `max.value` chunks of at least `grain` points each; a single
+  /// chunk when the range is shorter than 2 × grain.
+  ChunkPlan(std::size_t b, std::size_t e, MaxChunks max,
             std::size_t grain = kParallelGrainSize)
       : begin(b), end(e) {
     const std::size_t n = end > begin ? end - begin : 0;
     step = n;
-    workers = effective_workers(workers);
-    if (workers <= 1 || n < 2 * grain) return;
+    if (max.value <= 1 || n < 2 * grain) return;
     // Floor (not ceil) n/grain: every chunk keeps at least `grain` points, so
     // tiny inputs never shatter into sub-grain slivers.
     const std::size_t max_useful = n / grain;
-    chunks = std::min(workers * kParallelOversubscribe, max_useful);
+    chunks = std::min(max.value, max_useful);
     step = (n + chunks - 1) / chunks;
     chunks = (n + step - 1) / step;  // drop chunks the rounding left empty
   }
+
+  /// Plan for a pool of `workers`: one chunk for a single worker, else
+  /// kParallelOversubscribe chunks per effective worker.
+  ChunkPlan(std::size_t b, std::size_t e, std::size_t workers,
+            std::size_t grain = kParallelGrainSize)
+      : ChunkPlan(b, e, MaxChunks{worker_chunks(workers)}, grain) {}
 
   /// Half-open index range of chunk c.
   [[nodiscard]] std::pair<std::size_t, std::size_t> bounds(
@@ -80,7 +97,21 @@ struct ChunkPlan {
     const std::size_t i1 = std::min(end, i0 + step);
     return {i0, i1};
   }
+
+ private:
+  static std::size_t worker_chunks(std::size_t workers) noexcept {
+    workers = effective_workers(workers);
+    return workers <= 1 ? 1 : workers * kParallelOversubscribe;
+  }
 };
+
+/// The block plan of parallel_reduce: min(n / kParallelGrainSize,
+/// kReduceMaxBlocks) blocks, one below 2 × kParallelGrainSize. It reads
+/// neither the pool size nor hardware_concurrency(), so every pool on every
+/// host sums the same blocks in the same order.
+inline ChunkPlan reduce_plan(std::size_t begin, std::size_t end) {
+  return ChunkPlan(begin, end, ChunkPlan::MaxChunks{kReduceMaxBlocks});
+}
 
 /// Invokes body(c, i0, i1) for every chunk of `plan`; inline when the plan is
 /// a single chunk or the pool has one worker.
@@ -133,13 +164,15 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end, Body&& b
   });
 }
 
-/// Chunked reduction: `partial(i0, i1) -> T` computed per chunk, combined with
-/// `combine(T, T) -> T` in chunk order (deterministic for a fixed pool size).
+/// Blocked reduction over reduce_plan(begin, end): `partial(i0, i1) -> T`
+/// computed per block, combined with `combine(T, T) -> T` in block order. A
+/// 1-worker pool walks the same blocks inline, so the result is identical for
+/// every pool size and host.
 template <typename T, typename Partial, typename Combine>
 T parallel_reduce(ThreadPool& pool, std::size_t begin, std::size_t end, T init,
                   Partial&& partial, Combine&& combine) {
   if (end <= begin) return init;
-  const ChunkPlan plan(begin, end, pool.size());
+  const ChunkPlan plan = reduce_plan(begin, end);
   if (plan.chunks <= 1 || pool.size() <= 1) {
     T acc = std::move(init);
     for (std::size_t c = 0; c < plan.chunks; ++c) {

@@ -24,6 +24,7 @@
 #include "numarck/core/change_ratio.hpp"
 #include "numarck/core/codec.hpp"
 #include "numarck/core/options.hpp"
+#include "numarck/util/parallel_for.hpp"
 #include "numarck/util/thread_pool.hpp"
 
 namespace {
@@ -120,6 +121,9 @@ TEST(EngineParity, InertiaWithinResolutionBoundOnFixtures) {
 
 TEST(SamplingDeterminism, EncodedBytesIdenticalAcrossThreadCounts) {
   for (const auto& fx : fixtures()) {
+    // More than one reduction block, whatever the host's core count: the
+    // byte comparison below then checks a real multi-block summation order.
+    ASSERT_GT(util::reduce_plan(0, fx.curr.size()).chunks, 1U) << fx.name;
     for (double sampling : {1.0, 0.01}) {
       std::vector<std::uint8_t> reference;
       for (std::size_t workers : {1U, 2U, 4U, 8U}) {

@@ -13,6 +13,7 @@
 #include "numarck/lossless/rle.hpp"
 #include "numarck/util/bitpack.hpp"
 #include "numarck/util/expect.hpp"
+#include "numarck/util/parallel_for.hpp"
 #include "numarck/util/rng.hpp"
 #include "numarck/util/thread_pool.hpp"
 
@@ -492,6 +493,9 @@ TEST(Postpass, SerializedBytesIdenticalAcrossThreadCounts) {
     const double ratio = outlier ? rng.uniform(-5.0, 5.0) : rng.normal() * 5e-4;
     curr[j] = prev[j] * (1.0 + ratio);
   }
+  // More than one reduction block, whatever the host's core count, so the
+  // comparison cannot pass on a single-block sum.
+  ASSERT_GT(numarck::util::reduce_plan(0, curr.size()).chunks, 1u);
   nk::Options opts;
   opts.error_bound = 0.001;
   opts.index_bits = 8;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <functional>
@@ -272,6 +273,53 @@ TEST(ParallelReduce, SmallRangeRunsInline) {
       },
       [](int a, int b) { return a + b; });
   EXPECT_EQ(v, 110);
+}
+
+TEST(ReducePlan, CapsBlocksAndKeepsGrain) {
+  EXPECT_EQ(nu::reduce_plan(0, 2 * nu::kParallelGrainSize - 1).chunks, 1u);
+  EXPECT_EQ(nu::reduce_plan(0, 3 * nu::kParallelGrainSize).chunks, 3u);
+  const std::size_t n = 1000 * nu::kParallelGrainSize + 17;
+  const nu::ChunkPlan plan = nu::reduce_plan(0, n);
+  EXPECT_EQ(plan.chunks, nu::kReduceMaxBlocks);
+  for (std::size_t c = 0; c < plan.chunks; ++c) {
+    const auto [i0, i1] = plan.bounds(c);
+    EXPECT_GE(i1 - i0, nu::kParallelGrainSize);
+  }
+  EXPECT_EQ(plan.bounds(plan.chunks - 1).second, n);
+}
+
+TEST(ParallelReduce, FloatingSumBitIdenticalAcrossPoolSizes) {
+  // Magnitudes over 24 decades with mixed signs: any change of summation
+  // order shows in the low bits. The reference walks reduce_plan's blocks
+  // serially, so a pool that splits the range any other way fails here even
+  // on a 1-core host.
+  nu::Pcg32 rng(7);
+  std::vector<double> xs(300000);
+  for (auto& x : xs) {
+    x = (rng.uniform() < 0.5 ? -1.0 : 1.0) *
+        std::pow(10.0, rng.uniform(-12.0, 12.0));
+  }
+  const auto partial = [&xs](std::size_t i0, std::size_t i1) {
+    double s = 0.0;
+    for (std::size_t i = i0; i < i1; ++i) s += xs[i];
+    return s;
+  };
+  const auto add = [](double a, double b) { return a + b; };
+  const nu::ChunkPlan plan = nu::reduce_plan(0, xs.size());
+  ASSERT_GT(plan.chunks, 1u);
+  double reference = 0.0;
+  for (std::size_t c = 0; c < plan.chunks; ++c) {
+    const auto [i0, i1] = plan.bounds(c);
+    reference += partial(i0, i1);
+  }
+  for (std::size_t workers : {1u, 2u, 4u, 8u}) {
+    nu::ThreadPool pool(workers);
+    const double sum =
+        nu::parallel_reduce<double>(pool, 0, xs.size(), 0.0, partial, add);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sum),
+              std::bit_cast<std::uint64_t>(reference))
+        << "workers=" << workers;
+  }
 }
 
 // --------------------------------------------------------------- bitpack --
