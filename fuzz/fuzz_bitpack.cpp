@@ -4,11 +4,11 @@
 // to be out of [1,32]) and a count; the remainder is the bit stream. Every
 // dispatch level the host supports (scalar, avx2, avx512) runs the same
 // unpack and count_ones calls: the scalar BitReader unpack against the
-// gathered AVX2 and 8-lane AVX-512 ones, and byte-wise against u64
-// popcount. Each must either serve the request entirely from in-range bytes
-// or throw ContractViolation, and all levels must agree bit-for-bit with
-// the scalar reference — including on WHETHER they threw. A divergence
-// traps.
+// gathered AVX2 and 8-lane AVX-512 ones, and the portable u64 popcount
+// against its POPCNT build. Each must either serve the request entirely
+// from in-range bytes or throw ContractViolation, and all levels must agree
+// bit-for-bit with the scalar reference — including on WHETHER they threw.
+// A divergence traps.
 #include <cstdint>
 #include <vector>
 

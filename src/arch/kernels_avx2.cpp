@@ -164,7 +164,7 @@ const Kernels* avx2_kernel_table() noexcept {
     t.change_ratios = &change_ratios_avx2;
     t.decode_span = &decode_span_avx2;
     t.unpack = &unpack_avx2;
-    t.count_ones = &detail::count_ones_wide;
+    t.count_ones = &detail::count_ones_scalar;  // this TU's POPCNT build
     t.rans_decode = &detail::rans_decode_interleaved;
     return t;
   }();

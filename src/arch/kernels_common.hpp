@@ -140,14 +140,15 @@ static inline void check_count_ones_range(std::size_t size_bytes,
                  "count_ones: bit range past end of stream");
 }
 
-/// Byte-at-a-time popcount (the pre-arch util::count_ones body).
+/// Popcount of bits [bit_begin, bit_end): the partial end bytes masked,
+/// whole bytes between them counted a u64 word at a time. The AVX2 table
+/// reuses this body, where -mavx2 turns std::popcount into POPCNT.
 static inline std::size_t count_ones_scalar(const std::uint8_t* data,
                                             std::size_t size_bytes,
                                             std::size_t bit_begin,
                                             std::size_t bit_end) {
   if (bit_end <= bit_begin) return 0;
   check_count_ones_range(size_bytes, bit_end);
-  std::size_t count = 0;
   std::size_t byte = bit_begin / 8;
   const std::size_t last_byte = (bit_end - 1) / 8;
   if (byte == last_byte) {
@@ -158,35 +159,6 @@ static inline std::size_t count_ones_scalar(const std::uint8_t* data,
     return static_cast<std::size_t>(
         std::popcount(static_cast<std::uint8_t>(data[byte] & mask)));
   }
-  if (bit_begin % 8 != 0) {
-    const unsigned lo = static_cast<unsigned>(bit_begin % 8);
-    count += static_cast<std::size_t>(
-        std::popcount(static_cast<std::uint8_t>(data[byte] >> lo)));
-    ++byte;
-  }
-  for (; byte < last_byte; ++byte) {
-    count += static_cast<std::size_t>(std::popcount(data[byte]));
-  }
-  const unsigned tail = static_cast<unsigned>((bit_end - 1) % 8 + 1);
-  const std::uint8_t tail_mask =
-      tail == 8 ? 0xffu : static_cast<std::uint8_t>((1u << tail) - 1u);
-  count += static_cast<std::size_t>(
-      std::popcount(static_cast<std::uint8_t>(data[last_byte] & tail_mask)));
-  return count;
-}
-
-/// u64-chunk popcount (8 bytes per POPCNT instead of 1).
-static inline std::size_t count_ones_wide(const std::uint8_t* data,
-                                          std::size_t size_bytes,
-                                          std::size_t bit_begin,
-                                          std::size_t bit_end) {
-  if (bit_end <= bit_begin) return 0;
-  check_count_ones_range(size_bytes, bit_end);
-  std::size_t byte = bit_begin / 8;
-  const std::size_t last_byte = (bit_end - 1) / 8;
-  if (byte == last_byte) {
-    return count_ones_scalar(data, size_bytes, bit_begin, bit_end);
-  }
   std::size_t count = 0;
   if (bit_begin % 8 != 0) {
     const unsigned lo = static_cast<unsigned>(bit_begin % 8);
@@ -194,11 +166,10 @@ static inline std::size_t count_ones_wide(const std::uint8_t* data,
         std::popcount(static_cast<std::uint8_t>(data[byte] >> lo)));
     ++byte;
   }
-  while (byte + 8 <= last_byte) {
+  for (; byte + 8 <= last_byte; byte += 8) {
     std::uint64_t w;
     std::memcpy(&w, data + byte, sizeof w);
     count += static_cast<std::size_t>(std::popcount(w));
-    byte += 8;
   }
   for (; byte < last_byte; ++byte) {
     count += static_cast<std::size_t>(std::popcount(data[byte]));

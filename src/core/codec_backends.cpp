@@ -106,6 +106,11 @@ class NumarckCodec final : public Codec {
       std::span<const std::uint8_t> payload) const override {
     return core::EncodedIteration::deserialize(payload).point_count;
   }
+
+  std::size_t peek_point_count(
+      std::span<const std::uint8_t> payload) const override {
+    return core::EncodedIteration::peek_point_count(payload);
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -145,6 +150,11 @@ class FpcCodec final : public Codec {
   std::size_t validate_payload(
       std::span<const std::uint8_t> payload) const override {
     return lossless::fpc_validate(payload);
+  }
+
+  std::size_t peek_point_count(
+      std::span<const std::uint8_t> payload) const override {
+    return lossless::fpc_count(payload);
   }
 };
 
@@ -279,6 +289,13 @@ class SpatialCodec : public Codec {
                        p.patch_index.back() < model.point_count,
                    "spatial codec: patch index out of range");
     return model.point_count;
+  }
+
+  // The point count sits inside the inner model, so the header read is the
+  // full structural parse.
+  std::size_t peek_point_count(
+      std::span<const std::uint8_t> payload) const final {
+    return validate_payload(payload);
   }
 
  private:

@@ -117,11 +117,14 @@ std::vector<std::uint8_t> EncodedIteration::serialize(
   return w.take();
 }
 
-EncodedIteration EncodedIteration::deserialize(
-    std::span<const std::uint8_t> bytes, std::size_t max_point_count) {
-  util::ByteReader r(bytes);
+namespace {
+
+// Parses and checks the fixed header, magic through point_count, into `e`;
+// returns the stream flags. Shared by deserialize and peek_point_count so
+// both apply the same checks to these fields.
+std::uint8_t read_header(util::ByteReader& r, std::size_t record_bytes,
+                         std::size_t max_point_count, EncodedIteration& e) {
   NUMARCK_EXPECT(r.get_u32() == kMagic, "EncodedIteration: bad magic");
-  EncodedIteration e;
   e.index_bits = r.get_u8();
   NUMARCK_EXPECT(e.index_bits >= 2 && e.index_bits <= 16,
                  "EncodedIteration: bad index width");
@@ -151,9 +154,27 @@ EncodedIteration EncodedIteration::deserialize(
   // max_point_count, the RLE run-sum validation and the index coders' own
   // forged-count checks bound what the count can materialize.
   if (!(flags & kFlagRleBitmap)) {
-    NUMARCK_EXPECT(e.point_count <= bytes.size() * 8,
+    NUMARCK_EXPECT(e.point_count <= record_bytes * 8,
                    "EncodedIteration: point count exceeds record capacity");
   }
+  return flags;
+}
+
+}  // namespace
+
+std::size_t EncodedIteration::peek_point_count(
+    std::span<const std::uint8_t> bytes) {
+  util::ByteReader r(bytes);
+  EncodedIteration e;
+  read_header(r, bytes.size(), kDefaultMaxPointCount, e);
+  return e.point_count;
+}
+
+EncodedIteration EncodedIteration::deserialize(
+    std::span<const std::uint8_t> bytes, std::size_t max_point_count) {
+  util::ByteReader r(bytes);
+  EncodedIteration e;
+  const std::uint8_t flags = read_header(r, bytes.size(), max_point_count, e);
   e.centers = r.get_vector<double>();
   NUMARCK_EXPECT(e.centers.size() < (std::size_t{1} << e.index_bits),
                  "EncodedIteration: center table exceeds index space");

@@ -91,10 +91,19 @@ class Codec {
       std::span<const double> previous2,
       std::size_t expected_points) const = 0;
 
-  /// Structurally parses (and bounds-checks) a payload without decoding the
-  /// data, returning its point count. Throws ContractViolation on any
-  /// malformed stream — the container's load-time deep validation.
+  /// Structurally parses (and bounds-checks) every stream of a payload
+  /// without decoding the data, returning its point count. Throws
+  /// ContractViolation on any malformed stream. decode() runs the same
+  /// checks as part of its own parse, so restore paths do not call this;
+  /// `numarck-inspect` does, to vouch for every payload without decoding.
   [[nodiscard]] virtual std::size_t validate_payload(
+      std::span<const std::uint8_t> payload) const = 0;
+
+  /// The payload's point count from a bounds-checked read of its header
+  /// alone (CheckpointReader::load fills CompressedStep::point_count from
+  /// it). Throws ContractViolation on a malformed header; the streams behind
+  /// it are left to decode(), so a payload that passes can still fail there.
+  [[nodiscard]] virtual std::size_t peek_point_count(
       std::span<const std::uint8_t> payload) const = 0;
 };
 

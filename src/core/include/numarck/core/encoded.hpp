@@ -95,6 +95,12 @@ class EncodedIteration {
       std::span<const std::uint8_t> bytes,
       std::size_t max_point_count = kDefaultMaxPointCount);
 
+  /// Reads only the record header (magic through the point count), with
+  /// the checks deserialize makes on those fields, and returns the point
+  /// count. The streams behind the header are not parsed: a record that
+  /// passes here can still fail deserialize.
+  static std::size_t peek_point_count(std::span<const std::uint8_t> bytes);
+
   /// Number of compressible points (= indices stored in the index stream).
   [[nodiscard]] std::size_t compressible_count() const noexcept {
     return point_count - exact_values.size();

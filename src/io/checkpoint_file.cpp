@@ -173,10 +173,9 @@ class CheckpointReader::Impl final : private ScanEvents {
     core::CompressedStep step;
     step.codec_id = inf->codec_id;
     step.is_full = inf->type == RecordType::kFull;
-    // Deep structural validation through the record's codec: every count and
-    // offset inside the payload is bounds-checked here, so a record that
-    // loads cleanly also decodes cleanly.
-    step.point_count = codec::require(inf->codec_id).validate_payload(payload);
+    // Header only: the one deep, bounds-checked parse of the payload is the
+    // codec's decode, which every restore path runs next.
+    step.point_count = codec::require(inf->codec_id).peek_point_count(payload);
     step.payload = std::move(payload);
     return step;
   }

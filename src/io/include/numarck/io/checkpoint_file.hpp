@@ -131,8 +131,13 @@ class CheckpointReader {
                                                std::size_t iteration) const;
 
   /// Loads one record as a codec-tagged CompressedStep: CRC-verifies the
-  /// payload, then structurally validates it through the record's codec
-  /// (Codec::validate_payload) and fills in the point count.
+  /// payload and fills in the point count from a bounds-checked read of the
+  /// payload header (Codec::peek_point_count). The streams behind the header
+  /// are parsed once, by Codec::decode when the step is pushed through a
+  /// VariableReconstructor: a payload whose CRC matches but whose streams
+  /// are malformed loads here and throws ContractViolation there. Callers
+  /// that must vouch for a payload without decoding it (numarck-inspect)
+  /// call Codec::validate_payload themselves.
   [[nodiscard]] core::CompressedStep load(const std::string& variable,
                                           std::size_t iteration) const;
 

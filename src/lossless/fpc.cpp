@@ -112,30 +112,53 @@ std::vector<std::uint8_t> fpc_compress(std::span<const double> values,
   return out.take();
 }
 
-std::vector<double> fpc_decompress(std::span<const std::uint8_t> stream) {
+namespace {
+
+/// The parsed stream header. `header` holds 4 bits per value; `residual` the
+/// low-order residual bytes they describe.
+struct FpcStream {
+  unsigned table_log2 = 0;
+  std::size_t count = 0;
+  std::span<const std::uint8_t> header;
+  std::span<const std::uint8_t> residual;
+};
+
+/// Parses the header fields (magic, table size, value count) and checks the
+/// two regions lie inside the stream. Every value owns a 4-bit header entry,
+/// so a forged count larger than the header can describe is rejected here,
+/// before anything is sized from it.
+FpcStream read_stream(std::span<const std::uint8_t> stream) {
   numarck::util::ByteReader in(stream);
   NUMARCK_EXPECT(in.get_u32() == kMagic, "fpc: bad magic");
-  const unsigned table_log2 = in.get_u8();
-  NUMARCK_EXPECT(table_log2 >= 4 && table_log2 <= 24, "fpc: bad table size");
-  const std::size_t count = in.get_varint();
+  FpcStream s;
+  s.table_log2 = in.get_u8();
+  NUMARCK_EXPECT(s.table_log2 >= 4 && s.table_log2 <= 24,
+                 "fpc: bad table size");
+  s.count = in.get_varint();
   const std::size_t hdr_size = in.get_varint();
   NUMARCK_EXPECT(hdr_size <= in.remaining(), "fpc: truncated header");
-  // Every value owns a 4-bit header entry, so a forged count larger than the
-  // header can describe is rejected before the output allocation.
-  NUMARCK_EXPECT(count <= hdr_size * 2, "fpc: count exceeds header capacity");
-  const std::uint8_t* hdr_ptr = stream.data() + in.position();
-  numarck::util::BitReader header(hdr_ptr, hdr_size);
-  // Skip over the header region, then read the residual byte vector.
+  NUMARCK_EXPECT(s.count <= hdr_size * 2, "fpc: count exceeds header capacity");
+  s.header = stream.subspan(in.position(), hdr_size);
   in.skip(hdr_size);
   const std::size_t res_size = in.get_varint();
   NUMARCK_EXPECT(res_size <= in.remaining(), "fpc: truncated residual");
-  const std::uint8_t* res = stream.data() + in.position();
+  s.residual = stream.subspan(in.position(), res_size);
+  return s;
+}
+
+}  // namespace
+
+std::vector<double> fpc_decompress(std::span<const std::uint8_t> stream) {
+  const FpcStream s = read_stream(stream);
+  numarck::util::BitReader header(s.header.data(), s.header.size());
+  const std::uint8_t* res = s.residual.data();
+  const std::size_t res_size = s.residual.size();
   std::size_t res_pos = 0;
 
-  Predictors pred(table_log2);
+  Predictors pred(s.table_log2);
   std::vector<double> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
+  out.reserve(s.count);
+  for (std::size_t i = 0; i < s.count; ++i) {
     const bool use_dfcm = header.get_bit();
     const unsigned code = header.get(3);
     const unsigned stored_bytes = 8 - code_to_lzb(code);
@@ -154,26 +177,20 @@ std::vector<double> fpc_decompress(std::span<const std::uint8_t> stream) {
   return out;
 }
 
+std::size_t fpc_count(std::span<const std::uint8_t> stream) {
+  return read_stream(stream).count;
+}
+
 std::size_t fpc_validate(std::span<const std::uint8_t> stream) {
-  numarck::util::ByteReader in(stream);
-  NUMARCK_EXPECT(in.get_u32() == kMagic, "fpc: bad magic");
-  const unsigned table_log2 = in.get_u8();
-  NUMARCK_EXPECT(table_log2 >= 4 && table_log2 <= 24, "fpc: bad table size");
-  const std::size_t count = in.get_varint();
-  const std::size_t hdr_size = in.get_varint();
-  NUMARCK_EXPECT(hdr_size <= in.remaining(), "fpc: truncated header");
-  NUMARCK_EXPECT(count <= hdr_size * 2, "fpc: count exceeds header capacity");
-  numarck::util::BitReader header(stream.data() + in.position(), hdr_size);
-  in.skip(hdr_size);
-  const std::size_t res_size = in.get_varint();
-  NUMARCK_EXPECT(res_size <= in.remaining(), "fpc: truncated residual");
+  const FpcStream s = read_stream(stream);
+  numarck::util::BitReader header(s.header.data(), s.header.size());
   std::size_t res_needed = 0;
-  for (std::size_t i = 0; i < count; ++i) {
+  for (std::size_t i = 0; i < s.count; ++i) {
     static_cast<void>(header.get(1));  // predictor selector
     res_needed += 8 - code_to_lzb(header.get(3));
   }
-  NUMARCK_EXPECT(res_needed <= res_size, "fpc: residual overrun");
-  return count;
+  NUMARCK_EXPECT(res_needed <= s.residual.size(), "fpc: residual overrun");
+  return s.count;
 }
 
 }  // namespace numarck::lossless

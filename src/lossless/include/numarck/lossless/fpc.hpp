@@ -41,6 +41,12 @@ std::vector<double> fpc_decompress(std::span<const std::uint8_t> stream);
 /// count. Throws ContractViolation on malformed input.
 std::size_t fpc_validate(std::span<const std::uint8_t> stream);
 
+/// Reads only the stream header and returns the value count, with the checks
+/// fpc_decompress makes on it: magic, table size, a count the 4-bit code
+/// region can hold, and both regions inside the stream. The per-value codes
+/// are not walked, so a stream that passes here can still fail to decode.
+std::size_t fpc_count(std::span<const std::uint8_t> stream);
+
 /// Compressed size in bytes for reporting (stream.size()), exposed for
 /// symmetry with the lossy compressors' accounting.
 inline std::size_t fpc_compressed_bytes(const std::vector<std::uint8_t>& s) {

@@ -5,7 +5,7 @@
 namespace numarck::util {
 
 // Both bulk readers dispatch to the active arch kernel table: popcount runs
-// a u64-chunk (or byte-wise, on the scalar table) loop, unpack runs one
+// a u64-chunk loop (POPCNT from the AVX2 table up), unpack runs one
 // unaligned u64 load per value or a gathered SIMD batch. Every table is
 // bit-identical and enforces the same ContractViolation bounds semantics.
 

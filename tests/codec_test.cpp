@@ -238,6 +238,27 @@ TEST(CodecContainer, SpatialRecordsRestoreWithoutReplayingTheChain) {
   expect_within_bound(snaps[2], recon, opts.error_bound);
 }
 
+TEST(CodecRoundTrip, PeekPointCountAgreesWithValidateForEveryCodec) {
+  const auto flash = numarck::bench::flash_series(2, {"pres"});
+  const auto& snaps = flash.at("pres");
+  nk::Options opts;
+  opts.postpass = nk::Postpass::all();
+  for (const nc::Codec* c : nc::all()) {
+    const auto res = c->encode(snaps[1], snaps[0], {}, opts);
+    EXPECT_EQ(c->peek_point_count(res.payload), snaps[1].size()) << c->name();
+    EXPECT_EQ(c->validate_payload(res.payload), snaps[1].size()) << c->name();
+  }
+  // A NUMARCK payload whose tail is cut keeps an intact header: the peek
+  // still reads the count, and only the full parse rejects it.
+  const nc::Codec& nmk = nc::require(nc::kNumarckId);
+  auto cut = nmk.encode(snaps[1], snaps[0], {}, opts).payload;
+  cut.resize(cut.size() - 8);
+  EXPECT_EQ(nmk.peek_point_count(cut), snaps[1].size());
+  EXPECT_THROW((void)nmk.validate_payload(cut), numarck::ContractViolation);
+  EXPECT_THROW((void)nmk.decode(cut, snaps[0], {}, snaps[1].size()),
+               numarck::ContractViolation);
+}
+
 // ------------------------------------------------- stored-byte accounting --
 
 TEST(CodecContainer, StoredBytesMatchOnDiskPayloadSizeExactly) {

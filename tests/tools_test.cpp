@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -12,9 +13,12 @@
 #include <utility>
 #include <vector>
 
+#include "numarck/core/compressor.hpp"
 #include "numarck/io/checkpoint_file.hpp"
 #include "numarck/metrics/metrics.hpp"
+#include "numarck/store/checkpoint_store.hpp"
 #include "numarck/tools/cli.hpp"
+#include "numarck/util/byte_stream.hpp"
 #include "numarck/util/expect.hpp"
 
 namespace nt = numarck::tools;
@@ -442,6 +446,130 @@ TEST(ToolsCli, RestoreUnknownCodecNameExitsNonzero) {
               " --codec zfp --output " + out_path.str());
   EXPECT_NE(rc, 0);
   EXPECT_NE(out.find("unknown codec"), std::string::npos) << out;
+}
+
+// ------------------------------------------------ forged delta payloads --
+//
+// CheckpointReader::load checks the record CRC and the payload header only;
+// the one deep parse of a payload is Codec::decode. These tests forge a
+// NUMARCK delta whose header is intact but whose rANS index frame is cut
+// short, and write it through CheckpointWriter, which computes a valid CRC
+// over the forged bytes. Every restore path must then end in
+// ContractViolation (never fabricated data), and inspect must still fail.
+
+namespace {
+
+/// Stream flag of a rANS-coded index stream (docs/FORMAT.md §2).
+constexpr std::uint8_t kRansIndicesFlag = 0x08;
+constexpr std::size_t kForgedPoints = 20000;
+
+/// Cuts the rANS index frame of a serialized NUMARCK delta to half its
+/// length and rewrites its length prefix, so the fields around it still
+/// parse and only the frame itself is damaged (docs/FORMAT.md §2 layout).
+std::vector<std::uint8_t> truncate_rans_frame(
+    const std::vector<std::uint8_t>& payload) {
+  numarck::util::ByteReader r(payload);
+  (void)r.get_u32();  // magic
+  (void)r.get_u8();   // index width
+  (void)r.get_u8();   // strategy
+  (void)r.get_u8();   // predictor
+  const std::uint8_t flags = r.get_u8();
+  EXPECT_NE(flags & kRansIndicesFlag, 0) << "fixture is not rANS-coded";
+  (void)r.get_f64();                     // error bound
+  (void)r.get_varint();                  // point count
+  (void)r.get_vector<double>();          // centers
+  (void)r.get_vector<std::uint8_t>();    // zeta stream
+  const std::size_t frame_at = r.position();
+  const auto frame = r.get_vector<std::uint8_t>();
+  numarck::util::ByteWriter w;
+  w.put_bytes(payload.data(), frame_at);
+  w.put_vector(std::vector<std::uint8_t>(
+      frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(
+                                         frame.size() / 2)));
+  w.put_bytes(payload.data() + r.position(), payload.size() - r.position());
+  return w.take();
+}
+
+/// Full record, forged delta, intact delta: one variable, 20000 points that
+/// mostly stay still, so the index stream is skewed enough for rANS.
+std::vector<numarck::core::CompressedStep> forged_chain() {
+  numarck::core::Options opts;
+  opts.postpass = numarck::core::Postpass::all();
+  numarck::core::VariableCompressor comp(opts);
+  std::vector<double> snap(kForgedPoints);
+  for (std::size_t j = 0; j < snap.size(); ++j) {
+    snap[j] = 3.0 + std::sin(0.01 * static_cast<double>(j));
+  }
+  std::vector<numarck::core::CompressedStep> steps;
+  for (std::size_t it = 0; it < 3; ++it) {
+    if (it > 0) {
+      for (std::size_t j = 0; j < snap.size(); j += 7) {
+        snap[j] *= 1.0 + 0.02 * std::sin(static_cast<double>(j + it));
+      }
+    }
+    steps.push_back(comp.push(snap));
+  }
+  steps[1].payload = truncate_rans_frame(steps[1].payload);
+  return steps;
+}
+
+}  // namespace
+
+TEST(ForgedPayload, ReconstructorRejectsTruncatedRansFrame) {
+  const auto steps = forged_chain();
+  numarck::core::VariableReconstructor rec;
+  rec.push(steps[0]);
+  EXPECT_THROW(rec.push(steps[1]), numarck::ContractViolation);
+}
+
+TEST(ForgedPayload, LoadPassesButRestartAndInspectReject) {
+  const auto steps = forged_chain();
+  TempPath ckpt("forged");
+  {
+    numarck::io::CheckpointWriter writer(ckpt.str(), {"pres"});
+    for (std::size_t it = 0; it < steps.size(); ++it) {
+      writer.append("pres", it, static_cast<double>(it), steps[it]);
+    }
+    writer.close();
+  }
+  const numarck::io::CheckpointReader reader(ckpt.str());
+  // The CRC matches and the header is intact, so load() accepts the record:
+  // the damage is left to the decode below.
+  const auto loaded = reader.load("pres", 1);
+  EXPECT_EQ(loaded.point_count, kForgedPoints);
+  EXPECT_EQ(loaded.payload, steps[1].payload);
+
+  const numarck::io::RestartEngine engine(reader);
+  EXPECT_EQ(engine.reconstruct_variable("pres", 0).size(), kForgedPoints);
+  EXPECT_THROW((void)engine.reconstruct_variable("pres", 1),
+               numarck::ContractViolation);
+  EXPECT_THROW((void)engine.reconstruct(2), numarck::ContractViolation);
+
+  const auto [rc, out] =
+      run_cli(std::string(NUMARCK_INSPECT_BIN) + " " + ckpt.str());
+  EXPECT_NE(rc, 0);
+  EXPECT_NE(out.find("error:"), std::string::npos) << out;
+}
+
+TEST(ForgedPayload, StoreGetAndPruneRewriteReject) {
+  const auto steps = forged_chain();
+  const std::filesystem::path dir =
+      "/tmp/numarck_tool_forged_store_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  {
+    numarck::store::CheckpointStore store(dir.string(), {"pres"});
+    for (std::size_t it = 0; it < steps.size(); ++it) {
+      store.put(it, static_cast<double>(it), {{"pres", steps[it]}});
+    }
+    EXPECT_EQ(store.get(0).at("pres").size(), kForgedPoints);
+    EXPECT_THROW((void)store.get(1), numarck::ContractViolation);
+    EXPECT_THROW((void)store.get_variable("pres", 2),
+                 numarck::ContractViolation);
+    // Keeping only the newest entry rewrites it standalone, which replays
+    // its chain through the forged record.
+    EXPECT_THROW((void)store.prune(1, 0), numarck::ContractViolation);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 #endif  // NUMARCK_INSPECT_BIN && NUMARCK_RESTORE_BIN

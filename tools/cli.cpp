@@ -180,10 +180,13 @@ void inspect_file(const std::string& checkpoint_path, std::ostream& out) {
       const auto info = reader.info(v, it);
       if (!info) continue;
       // Full validation, not just the index: load() checks the payload CRC
-      // and walks every payload, so a bit-flipped container fails
-      // inspection instead of inspecting clean and failing at restart.
+      // and the codec walks every stream of the payload, so a bit-flipped
+      // container fails inspection instead of inspecting clean and failing
+      // at restart.
       const auto step = reader.load(v, it);
-      const char* codec_name = codec::require(info->codec_id).name();
+      const codec::Codec& c = codec::require(info->codec_id);
+      (void)c.validate_payload(step.payload);
+      const char* codec_name = c.name();
       out << "  " << v << "  " << it << "    "
           << (info->type == io::RecordType::kFull ? "full " : "delta") << "  "
           << codec_name << "  " << postpass_label(step) << "  "

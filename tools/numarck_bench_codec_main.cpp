@@ -40,6 +40,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <span>
@@ -100,6 +101,31 @@ double best_seconds(std::size_t reps, Fn&& fn) {
     best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
   }
   return best;
+}
+
+/// Least work one timed micro-kernel sample holds. A single kernel call on
+/// the sweep's input takes 1 us to 1 ms, short enough that timer
+/// granularity and one-off stalls swing a best-of-reps figure by tens of
+/// percent.
+constexpr double kMinKernelSampleSeconds = 0.020;
+
+/// Back-to-back calls of `fn` that fill one kMinKernelSampleSeconds sample,
+/// sized from the fastest of three single calls.
+template <typename Fn>
+std::size_t calls_per_sample(Fn&& fn) {
+  const double once = std::max(best_seconds(3, fn), 1e-9);
+  return std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::ceil(kMinKernelSampleSeconds / once)));
+}
+
+/// Seconds per call of `fn`, timed over one sample of `calls` calls.
+template <typename Fn>
+double seconds_per_call(std::size_t calls, Fn&& fn) {
+  return best_seconds(1,
+                      [&] {
+                        for (std::size_t c = 0; c < calls; ++c) fn();
+                      }) /
+         static_cast<double>(calls);
 }
 
 struct Row {
@@ -332,7 +358,11 @@ struct SimdRow {
 /// level the host supports. All kernel calls go through the dispatch table's
 /// function pointers, so nothing inlines away. Every level produces
 /// byte-identical output (tests/arch_test.cpp enforces that); this sweep
-/// records what the wider tables buy in throughput.
+/// records what the wider tables buy in throughput. A kernel sample repeats
+/// the call until it holds kMinKernelSampleSeconds of work at the scalar
+/// level; the repeat count is fixed per kernel row and reused at every
+/// level, so a slot that runs one function at two levels reads ~1.00x.
+/// Kernel rows are listed after all the end-to-end rows.
 std::vector<SimdRow> simd_sweep(std::span<const double> prev,
                                 std::span<const double> curr,
                                 std::size_t reps) {
@@ -376,10 +406,10 @@ std::vector<SimdRow> simd_sweep(std::span<const double> prev,
   const std::vector<std::uint8_t> rans_stream =
       lossless::rans_encode(rans_syms, 256, 4);
 
+  const std::vector<arch::Level> levels = arch::available_levels();
   std::vector<SimdRow> rows;
-  for (const arch::Level level : arch::available_levels()) {
+  for (const arch::Level level : levels) {
     arch::force_level(level);
-    const auto& k = arch::active();
     const std::string name = arch::to_string(level);
     for (const auto strategy : strategies) {
       core::Options opts;
@@ -395,46 +425,75 @@ std::vector<SimdRow> simd_sweep(std::span<const double> prev,
       rows.push_back(
           {"decode", core::to_string(strategy), name, dec_s, mp / dec_s, 1.0});
     }
-    const auto micro = [&](const char* kernel, double seconds) {
-      rows.push_back({kernel, "-", name, seconds, mp / seconds, 1.0});
-    };
-    micro("classify", best_seconds(reps, [&] {
-            (void)k.classify(prev.data(), curr.data(), labels.data(), n, 0.01,
-                             1e-7);
-          }));
-    micro("change_ratios", best_seconds(reps, [&] {
-            k.change_ratios(prev.data(), curr.data(), ratios.data(), n);
-          }));
-    micro("unpack", best_seconds(reps, [&] {
-            k.unpack(packed.data(), packed.size(), 0, 11, unpacked.data(), n);
-          }));
-    micro("count_ones", best_seconds(reps, [&] {
-            (void)k.count_ones(ref_enc.zeta.data(), ref_enc.zeta.size(), 0, n);
-          }));
-    micro("decode_span", best_seconds(reps, [&] {
-            arch::DecodeSpan span;
-            span.previous = prev.data();
-            span.out = decoded.data();
-            span.i0 = 0;
-            span.i1 = n;
-            span.zeta = ref_enc.zeta.data();
-            span.zeta_size = ref_enc.zeta.size();
-            span.indices = ref_enc.indices.data();
-            span.indices_size = ref_enc.indices.size();
-            span.centers = ref_enc.centers.data();
-            span.center_count = ref_enc.centers.size();
-            span.exact = ref_enc.exact_values.data();
-            span.exact_size = ref_enc.exact_values.size();
-            span.index_bits = ref_enc.index_bits;
-            k.decode_span(span);
-          }));
-    micro("fpc_xor_lzc", best_seconds(reps, [&] {
-            k.fpc_xor_lzc(fpc_v.data(), fpc_pf.data(), fpc_pd.data(), n,
-                          fpc_xr.data(), fpc_nib.data());
-          }));
-    micro("rans_decode", best_seconds(reps, [&] {
-            (void)lossless::rans_decode(rans_stream, n);
-          }));
+  }
+
+  using KernelCall = std::function<void(const arch::Kernels&)>;
+  const std::pair<const char*, KernelCall> kernels[] = {
+      {"classify",
+       [&](const arch::Kernels& k) {
+         (void)k.classify(prev.data(), curr.data(), labels.data(), n, 0.01,
+                          1e-7);
+       }},
+      {"change_ratios",
+       [&](const arch::Kernels& k) {
+         k.change_ratios(prev.data(), curr.data(), ratios.data(), n);
+       }},
+      {"unpack",
+       [&](const arch::Kernels& k) {
+         k.unpack(packed.data(), packed.size(), 0, 11, unpacked.data(), n);
+       }},
+      {"count_ones",
+       [&](const arch::Kernels& k) {
+         (void)k.count_ones(ref_enc.zeta.data(), ref_enc.zeta.size(), 0, n);
+       }},
+      {"decode_span",
+       [&](const arch::Kernels& k) {
+         arch::DecodeSpan span;
+         span.previous = prev.data();
+         span.out = decoded.data();
+         span.i0 = 0;
+         span.i1 = n;
+         span.zeta = ref_enc.zeta.data();
+         span.zeta_size = ref_enc.zeta.size();
+         span.indices = ref_enc.indices.data();
+         span.indices_size = ref_enc.indices.size();
+         span.centers = ref_enc.centers.data();
+         span.center_count = ref_enc.centers.size();
+         span.exact = ref_enc.exact_values.data();
+         span.exact_size = ref_enc.exact_values.size();
+         span.index_bits = ref_enc.index_bits;
+         k.decode_span(span);
+       }},
+      {"fpc_xor_lzc",
+       [&](const arch::Kernels& k) {
+         k.fpc_xor_lzc(fpc_v.data(), fpc_pf.data(), fpc_pd.data(), n,
+                       fpc_xr.data(), fpc_nib.data());
+       }},
+      // Dispatches through the active table inside lossless::rans_decode.
+      {"rans_decode",
+       [&](const arch::Kernels&) {
+         (void)lossless::rans_decode(rans_stream, n);
+       }},
+  };
+  for (const auto& [kernel, call] : kernels) {
+    // The reps rotate through the levels, so a slow stretch of a shared host
+    // is spread over every level instead of landing on one.
+    arch::force_level(levels.front());
+    const std::size_t calls =
+        calls_per_sample([&] { call(arch::active()); });
+    std::vector<double> best(levels.size(),
+                             std::numeric_limits<double>::infinity());
+    for (std::size_t r = 0; r < reps; ++r) {
+      for (std::size_t l = 0; l < levels.size(); ++l) {
+        arch::force_level(levels[l]);
+        const arch::Kernels& k = arch::active();
+        best[l] = std::min(best[l], seconds_per_call(calls, [&] { call(k); }));
+      }
+    }
+    for (std::size_t l = 0; l < levels.size(); ++l) {
+      rows.push_back({kernel, "-", arch::to_string(levels[l]), best[l],
+                      mp / best[l], 1.0});
+    }
   }
   arch::force_level(saved);
 
